@@ -86,6 +86,50 @@ void BM_LegacyEventChain(benchmark::State& state) {
 }
 BENCHMARK(BM_LegacyEventChain)->Arg(100000);
 
+/// Typed-record chains: the dispatch path of every per-flit event in the
+/// model. range(0) chains stay in flight; each dispatch reschedules its
+/// own record after the next stage delay of the model's default
+/// worst-case corner (noc::StageDelays, 60..1942 ps), cycling through the
+/// table so the bench times the kernel, not a random draw.
+constexpr sim::Time kStageDelayMix[] = {1942, 380, 450, 150, 180, 200, 150,
+                                        120,  500, 100, 60,  700, 400};
+constexpr std::size_t kStageDelayCount =
+    sizeof kStageDelayMix / sizeof kStageDelayMix[0];
+
+struct TypedChains {
+  sim::Simulator* simulator;
+  std::uint64_t left;
+};
+
+void typed_chain_step(sim::TypedEvent& ev) {
+  auto* chains = static_cast<TypedChains*>(ev.p0);
+  if (chains->left == 0) return;
+  --chains->left;
+  ev.d = (ev.d + 1) % kStageDelayCount;
+  chains->simulator->after_typed(kStageDelayMix[ev.d], ev);
+}
+
+constexpr std::uint64_t kTypedChainEvents = 200000;
+
+void BM_TypedEventChain(benchmark::State& state) {
+  const auto in_flight = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    simulator.set_typed_dispatcher(&typed_chain_step);
+    TypedChains chains{&simulator, kTypedChainEvents - in_flight};
+    for (std::uint32_t i = 0; i < in_flight; ++i) {
+      sim::TypedEvent ev{};
+      ev.op = 1;
+      ev.d = i % kStageDelayCount;
+      ev.p0 = &chains;
+      simulator.at_typed(i, ev);
+    }
+    benchmark::DoNotOptimize(simulator.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kTypedChainEvents);
+}
+BENCHMARK(BM_TypedEventChain)->Arg(100)->Arg(1000)->Arg(5000);
+
 /// Interleaved near/far horizon traffic: stresses the calendar queue's
 /// overflow heap and wheel migration (timeouts and packet interarrivals
 /// mixed with handshake-scale delays, 64 concurrent event chains).

@@ -12,14 +12,6 @@
 
 namespace mango::noc::events {
 
-namespace detail {
-std::atomic<bool> g_typed_enabled{true};
-}  // namespace detail
-
-void set_typed_dispatch_enabled(bool on) {
-  detail::g_typed_enabled.store(on, std::memory_order_relaxed);
-}
-
 void dispatch_event(sim::TypedEvent& ev) {
   switch (ev.op) {
     case kOpLinkFlit:

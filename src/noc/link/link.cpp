@@ -111,7 +111,7 @@ void Link::send_flit(const Router* from, LinkFlit lf) {
     ev.a = peer.port;
     ev.p0 = peer.router;
     events::store_link_flit(ev, lf);
-    events::emit_after(sim_, forward_latency(), ev);
+    sim_.after_typed(forward_latency(), ev);
     return;
   }
   // Coalesced GS transfer: the peer's split map is static, so the
@@ -136,7 +136,7 @@ void Link::send_flit(const Router* from, LinkFlit lf) {
     ev.a = peer.port;
     ev.p0 = peer.router;
     events::store_link_flit(ev, lf);
-    events::emit_after(sim_, fwd, ev);
+    sim_.after_typed(fwd, ev);
   } else {
     sim_.note_folded_hop_at(sim_.now() + fwd);
     sim::TypedEvent ev{};
@@ -145,7 +145,7 @@ void Link::send_flit(const Router* from, LinkFlit lf) {
     ev.b = hop.target.vc;
     ev.p0 = peer.router;
     events::store_flit(ev, lf.flit);
-    events::emit_after(sim_, fwd + hop.stage_delay, ev);
+    sim_.after_typed(fwd + hop.stage_delay, ev);
   }
 }
 
@@ -162,7 +162,7 @@ void Link::send_be_flit(const Router* from, LinkFlit lf) {
   ev.a = peer.port;
   ev.p0 = peer.router;
   events::store_link_flit(ev, lf);
-  events::emit_after(*sims_[dir], forward_latency(), ev);
+  sims_[dir]->after_typed(forward_latency(), ev);
 }
 
 void Link::send_reverse(const Router* from, VcIdx wire) {
@@ -180,7 +180,7 @@ void Link::send_reverse(const Router* from, VcIdx wire) {
     ev.a = peer.port;
     ev.b = wire;
     ev.p0 = peer.router;
-    events::emit_after(sim_, reverse_latency(), ev);
+    sim_.after_typed(reverse_latency(), ev);
     return;
   }
   // Fold the flow box's re-arm delay (0 for credit boxes) into the wire
@@ -193,7 +193,7 @@ void Link::send_reverse(const Router* from, VcIdx wire) {
   ev.a = peer.port;
   ev.b = wire;
   ev.p0 = peer.router;
-  events::emit_after(sim_, rev + rearm, ev);
+  sim_.after_typed(rev + rearm, ev);
 }
 
 sim::Time Link::be_credit_latency() const {
@@ -214,7 +214,7 @@ void Link::send_be_credit(const Router* from, BeVcIdx vc) {
   ev.a = peer.port;
   ev.b = vc;
   ev.p0 = peer.router;
-  events::emit_after(*sims_[dir], be_credit_latency(), ev);
+  sims_[dir]->after_typed(be_credit_latency(), ev);
 }
 
 }  // namespace mango::noc

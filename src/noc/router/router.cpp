@@ -198,7 +198,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       ev.op = events::kOpLocalBeCredit;
       ev.a = vc;
       ev.p0 = this;
-      events::emit_after(sim_, delays_.be_credit_back, ev);
+      sim_.after_typed(delays_.be_credit_back, ev);
     }
   });
 }
@@ -284,7 +284,7 @@ void Router::update_gs_request(PortIdx port, VcIdx vc) {
   ev.a = port;
   ev.b = vc;
   ev.p0 = this;
-  events::emit_after(sim_, delays_.req_fwd, ev);
+  sim_.after_typed(delays_.req_fwd, ev);
 }
 
 void Router::recheck_gs_request(PortIdx port, VcIdx vc) {
@@ -346,7 +346,7 @@ void Router::on_gs_grant(PortIdx port, VcIdx vc) {
     ev.p0 = plan.peer;
     ev.p1 = plan.target;
     events::store_flit(ev, f);
-    events::emit_after(sim_, plan.total_delay, ev);
+    sim_.after_typed(plan.total_delay, ev);
     update_gs_request(port, vc);
     return;
   }

@@ -3,191 +3,71 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 namespace mango::sim {
 
-Simulator::~Simulator() {
-  // Nodes live inside slabs_; pending callbacks are destroyed with the
-  // EventNode destructors when the slabs are released. Nothing to do.
+void Simulator::fail(const char* what) {
+  model_fail(std::string("invariant violated: ") + what);
 }
 
-Simulator::EventNode* Simulator::alloc_node() {
-  if (free_list_ == nullptr) {
-    slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
-    EventNode* block = slabs_.back().get();
-    for (std::size_t i = 0; i < kSlabNodes; ++i) {
-      block[i].next = free_list_;
-      free_list_ = &block[i];
-    }
+Simulator::EventNode* Simulator::grow_slab() {
+  slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
+  EventNode* block = slabs_.back().get();
+  for (std::size_t i = 0; i < kSlabNodes; ++i) {
+    block[i].next = free_list_;
+    free_list_ = &block[i];
   }
-  EventNode* n = free_list_;
-  free_list_ = n->next;
-  n->next = nullptr;
-  return n;
-}
-
-void Simulator::free_node(EventNode* n) {
-  if (n->body.ev.op == 0) {
-    n->body.cb.cb.reset();
-  } else {
-    // Typed records are trivially destructible: re-arm the callback
-    // slot (empty, opcode 0) so the recycled node is ready for either
-    // schedule kind.
-    ::new (&n->body.cb) CallbackSlot{};
-  }
-  n->next = free_list_;
-  free_list_ = n;
+  return free_list_;
 }
 
 void Simulator::at(Time t, Callback cb) {
-  MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-  MANGO_ASSERT(static_cast<bool>(cb), "cannot schedule an empty callback");
-  EventNode* n = alloc_node();
-  n->time = t;
-  n->birth = now_;
-  n->seq = next_seq_++;
-  n->body.cb.cb = std::move(cb);
+  check(t >= now_, "cannot schedule an event in the past");
+  check(static_cast<bool>(cb), "cannot schedule an empty callback");
+  EventNode* n = alloc_node(t, now_);
+  ::new (&n->body.cb) CallbackSlot(std::move(cb));
   insert(n);
 }
 
 void Simulator::admit(Time t, Time birth, Callback cb) {
-  MANGO_ASSERT(t >= now_, "cannot admit an event in the past");
-  MANGO_ASSERT(birth <= t, "admitted birth must not exceed the event time");
-  MANGO_ASSERT(static_cast<bool>(cb), "cannot admit an empty callback");
-  EventNode* n = alloc_node();
-  n->time = t;
-  n->birth = birth;
-  n->seq = next_seq_++;
-  n->body.cb.cb = std::move(cb);
+  check(t >= now_, "cannot admit an event in the past");
+  check(birth <= t, "admitted birth must not exceed the event time");
+  check(static_cast<bool>(cb), "cannot admit an empty callback");
+  EventNode* n = alloc_node(t, birth);
+  ::new (&n->body.cb) CallbackSlot(std::move(cb));
   insert(n);
 }
 
-void Simulator::insert(EventNode* n) {
-  if (pending_ == 0) {
-    // Queue fully drained: re-anchor the wheel at the current time so the
-    // cursor starts at (or below) the new event's granule (run_until may
-    // have advanced now() far past the stale cursor).
-    cur_granule_ = granule_of(now_);
-  } else if (granule_of(n->time) < cur_granule_) {
-    // The cursor fast-forwarded past this granule (next_event_time()
-    // scanning ahead of a declined run_until boundary). Rewind it to
-    // now()'s granule: every pending event has time >= now() and — by the
-    // now()-anchored admission bound below — every wheel event's granule
-    // lies in [granule(now), granule(now) + kWheelSize), so the rewound
-    // cursor sits at or below every wheel event and each bucket still
-    // holds events of a single granule.
-    cur_granule_ = granule_of(now_);
-  }
-  ++pending_;
-  // Wheel admission is bounded by now(), NOT the cursor: the cursor may
-  // legitimately sit anywhere in [granule(now), granule(now) + kWheelSize)
-  // after fast-forwarding, and a cursor-relative bound would admit events
-  // that alias into an already-passed bucket — and so dispatch one full
-  // wheel lap early — once a near insert rewinds the cursor.
-  if (granule_of(n->time) < granule_of(now_) + kWheelSize) {
-    insert_wheel(n);
-  } else {
-    overflow_.push_back(n);
-    std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-  }
-}
-
-void Simulator::insert_wheel(EventNode* n) {
-  const std::size_t idx = granule_of(n->time) & kWheelMask;
-  Bucket& b = wheel_[idx];
-  ++wheel_count_;
-  if (b.head == nullptr) {
-    n->prev = n->next = nullptr;
-    b.head = b.tail = n;
-    mark_occupied(idx);
-    return;
-  }
-  // Fast path: sequence numbers grow monotonically and most events are
-  // scheduled time-forward, so the overwhelmingly common case appends.
-  if (earlier(b.tail->time, b.tail->birth, b.tail->seq, n->time, n->birth,
-              n->seq)) {
-    n->prev = b.tail;
-    n->next = nullptr;
-    b.tail->next = n;
-    b.tail = n;
-    return;
-  }
-  // Out-of-order within the bucket (a shorter delay scheduled after a
-  // longer one landing in the same granule): sorted insert, searching
-  // BACKWARD from the tail. The displaced suffix is only the handful of
-  // strictly-later timestamps already in the bucket — never the
-  // same-timestamp train at the front (n has the largest (birth, seq)
-  // among its time-equals, so it sorts after all of them), which on a
-  // 1k-node fabric with phase-aligned CBR sources can be thousands of
-  // events long. A head-forward walk would traverse that train on every
-  // out-of-order insert and turn the kernel O(nodes) per event.
-  EventNode* q = b.tail->prev;
-  while (q != nullptr &&
-         earlier(n->time, n->birth, n->seq, q->time, q->birth, q->seq)) {
-    q = q->prev;
-  }
-  if (q == nullptr) {
-    n->prev = nullptr;
-    n->next = b.head;
-    b.head->prev = n;
+void Simulator::insert_sorted(Bucket& b, EventNode* n) {
+  // n sorts before the tail. Search BACKWARD from the tail: the displaced
+  // suffix is only the events born after n, never the same-timestamp
+  // train at the front of the bucket, which on a 1k-node fabric with
+  // phase-aligned CBR sources can be thousands of events long.
+  EventNode* q = b.tail;  // invariant: n sorts before q
+  while (q != b.head && q->prev->birth > n->birth) q = q->prev;
+  n->next = q;
+  if (q == b.head) {
     b.head = n;
   } else {
-    n->prev = q;
-    n->next = q->next;
-    q->next->prev = n;
-    q->next = n;
+    n->prev = q->prev;
+    q->prev->next = n;
   }
+  q->prev = n;
 }
 
-void Simulator::migrate_overflow() {
-  // Same now()-anchored horizon as insert(): migrating against the cursor
-  // would re-create the one-lap-early aliasing that admission avoids.
-  while (!overflow_.empty() &&
-         granule_of(overflow_.front()->time) < granule_of(now_) + kWheelSize) {
-    // The heap pops in (time, seq) order, so same-bucket migrants arrive
-    // in dispatch order and insert_wheel's append fast path applies.
-    std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    EventNode* n = overflow_.back();
-    overflow_.pop_back();
-    insert_wheel(n);
-  }
+void Simulator::push_overflow(EventNode* n) {
+  overflow_.push_back(n);
+  std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
 }
 
-Simulator::EventNode* Simulator::pop_earliest() {
-  if (wheel_count_ == 0) {
-    // Everything pending lives beyond the horizon: pop the overflow heap
-    // directly and re-anchor the cursor at the popped event's granule.
-    // step() sets now() to its time before dispatch, so the remaining
-    // overflow (all with time >= this one) stays ahead of the window.
-    std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    EventNode* n = overflow_.back();
-    overflow_.pop_back();
-    cur_granule_ = granule_of(n->time);
-    --pending_;
-    return n;
-  }
-  if (!overflow_.empty() &&
-      granule_of(overflow_.front()->time) < cur_granule_) {
-    // next_event_time() fast-forwarded the cursor past the overflow
-    // top's granule (an overflow event older than every wheel event).
-    // Rewind to now()'s granule — at or below every pending granule — so
-    // the migration below lands it ahead of the cursor, not behind it.
-    cur_granule_ = granule_of(now_);
-  }
-  migrate_overflow();
-  skip_to_occupied();
-  Bucket* b = &wheel_[cur_granule_ & kWheelMask];
-  EventNode* n = b->head;
-  b->head = n->next;
-  if (b->head == nullptr) {
-    b->tail = nullptr;
-    mark_empty(cur_granule_ & kWheelMask);
-  } else {
-    b->head->prev = nullptr;
-  }
-  --wheel_count_;
-  --pending_;
-  return n;
+void Simulator::migrate_one() {
+  // The heap pops in (time, birth, seq) order, and a bucket receives
+  // migrants before any direct insert can reach its time, so migrants
+  // take insert_wheel's append path.
+  std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
+  EventNode* n = overflow_.back();
+  overflow_.pop_back();
+  insert_wheel(n);
 }
 
 std::size_t Simulator::next_occupied(std::size_t idx) const {
@@ -215,117 +95,86 @@ std::size_t Simulator::next_occupied(std::size_t idx) const {
   }
 }
 
-Time Simulator::next_event_time() {
-  if (pending_ == 0) return kTimeNever;
-  Time best = kTimeNever;
-  if (wheel_count_ > 0) {
-    // A wheel event exists within the horizon, so the skip terminates.
-    // Advancing the cursor over the empty buckets is safe — pop_earliest
-    // would skip them anyway, and insert() rewinds the cursor if a later
-    // schedule lands below it — and lets the step() that typically
-    // follows start at the non-empty bucket found here.
-    skip_to_occupied();
-    best = wheel_[cur_granule_ & kWheelMask].head->time;
-  }
-  // An overflow event can be *earlier* than wheel events inserted after
-  // the cursor advanced past its granule (it only migrates at pop time),
-  // so the overflow top always participates in the minimum.
-  if (!overflow_.empty() && overflow_.front()->time < best) {
-    best = overflow_.front()->time;
-  }
-  return best;
+Time Simulator::next_event_time() const {
+  // Every overflow event is later than every wheel event (see
+  // migrate_overflow), so the overflow top matters only on an empty wheel.
+  if (wheel_count_ != 0) return next_wheel_time();
+  return overflow_.empty() ? kTimeNever : overflow_.front()->time;
 }
 
-Simulator::EventKey Simulator::next_event_key() {
-  if (pending_ == 0) return EventKey{};
-  const EventNode* best = nullptr;
-  if (wheel_count_ > 0) {
-    // Same cursor fast-forward as next_event_time(); the head of the
-    // first non-empty bucket is the wheel minimum (buckets are sorted
-    // and one granule each, so time order dominates across buckets).
-    skip_to_occupied();
-    best = wheel_[cur_granule_ & kWheelMask].head;
+Simulator::EventKey Simulator::next_event_key() const {
+  if (wheel_count_ != 0) {
+    const Time t = next_wheel_time();
+    return EventKey{t, wheel_[t & kWheelMask].head->birth};
   }
-  if (!overflow_.empty() &&
-      (best == nullptr ||
-       earlier(overflow_.front()->time, overflow_.front()->birth,
-               overflow_.front()->seq, best->time, best->birth, best->seq))) {
-    best = overflow_.front();
-  }
-  return EventKey{best->time, best->birth};
+  if (overflow_.empty()) return EventKey{};
+  return EventKey{overflow_.front()->time, overflow_.front()->birth};
 }
 
-std::uint64_t Simulator::run_window(Time end) {
-  std::uint64_t n = 0;
-  while (pending_ != 0 && next_event_time() < end) {
-    step();
-    ++n;
+template <bool kStep>
+std::uint64_t Simulator::drain(Time t, Time birth_bound) {
+  std::uint64_t count = 0;
+  for (;;) {
+    Time bt;
+    if (wheel_count_ != 0) {
+      bt = next_wheel_time();
+    } else if (!overflow_.empty()) {
+      bt = overflow_.front()->time;
+    } else {
+      break;
+    }
+    if (bt > t) break;
+    if (bt != now_) {
+      now_ = bt;
+      migrate_overflow();
+    }
+    // Drain the bucket. Schedules made by the handlers land either here
+    // (zero delay: appended at the tail, drained by this same pass) or
+    // in later buckets, and none can fall into the overflow's range
+    // while now() stands still.
+    const std::size_t idx = bt & kWheelMask;
+    Bucket& b = wheel_[idx];
+    const Time bound = bt == t ? birth_bound : kTimeNever;
+    EventNode* n;
+    while ((n = b.head) != nullptr && n->birth < bound) {
+      b.head = n->next;
+      --wheel_count_;
+      ++dispatched_;
+      // Invoke straight from the unlinked node; it is recycled after the
+      // call returns. A handler that throws (model errors in failure-
+      // injection tests) orphans its node until slab teardown; the
+      // bitmap is restored so the kernel stays usable.
+      try {
+        if (n->body.ev.op != 0) {
+          dispatcher_(n->body.ev);
+        } else {
+          n->body.cb.cb();
+          n->body.cb.cb.reset();
+        }
+      } catch (...) {
+        if (b.head == nullptr) mark_empty(idx);
+        throw;
+      }
+      n->next = free_list_;
+      free_list_ = n;
+      ++count;
+      if (kStep) break;
+    }
+    if (b.head == nullptr) mark_empty(idx);
+    if (kStep || n != nullptr) break;
   }
-  if (now_ < end) {
-    now_ = end;
-    // Same cursor discipline as run_until(): everything still pending is
-    // at `end` or later, so the jump cannot pass a non-empty bucket.
-    if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
-  }
-  return n;
+  return count;
 }
 
-std::uint64_t Simulator::run_until_tie(Time t, Time birth_bound) {
-  std::uint64_t n = 0;
-  while (pending_ != 0) {
-    const EventKey k = next_event_key();
-    if (k.time > t || (k.time == t && k.birth >= birth_bound)) break;
-    step();
-    ++n;
-  }
+template std::uint64_t Simulator::drain<true>(Time, Time);
+template std::uint64_t Simulator::drain<false>(Time, Time);
+
+std::uint64_t Simulator::run_to(Time t, Time birth_bound) {
+  const std::uint64_t n = drain<false>(t, birth_bound);
   if (now_ < t) {
     now_ = t;
-    if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
+    migrate_overflow();
   }
-  return n;
-}
-
-bool Simulator::step() {
-  if (pending_ == 0) return false;
-  EventNode* n = pop_earliest();
-  now_ = n->time;
-  ++dispatched_;
-  // Invoke straight from the node — the node is unlinked, so handlers
-  // may freely schedule new events (those draw fresh nodes); it is
-  // recycled after the call returns. If the handler throws (model
-  // errors in failure-injection tests), the node is simply orphaned
-  // until slab teardown — never double-used.
-  if (n->body.ev.op != 0) {
-    dispatcher_(n->body.ev);
-  } else {
-    n->body.cb.cb();
-  }
-  free_node(n);
-  return true;
-}
-
-std::uint64_t Simulator::run_until(Time t_end) {
-  std::uint64_t n = 0;
-  while (pending_ != 0 && next_event_time() <= t_end) {
-    step();
-    ++n;
-  }
-  if (now_ < t_end) {
-    now_ = t_end;
-    // Keep the cursor at or above granule(now) — the wheel scan is only
-    // correct when every wheel event lies within one lap of the cursor,
-    // and admission bounds events by granule(now) + kWheelSize. The jump
-    // cannot pass a non-empty bucket: everything still pending is later
-    // than t_end. (step() maintains the invariant by itself: the popped
-    // event's granule, where the cursor ends up, is granule(new now).)
-    if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
-  }
-  return n;
-}
-
-std::uint64_t Simulator::run() {
-  std::uint64_t n = 0;
-  while (step()) ++n;
   return n;
 }
 

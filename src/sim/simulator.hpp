@@ -10,17 +10,22 @@
 // Event storage is a slab-allocated intrusive list behind a two-level
 // calendar queue (see DESIGN.md):
 //
-//   * a near-horizon wheel of kWheelSize buckets, each covering one
-//     2^kBucketShift-ps granule. Nearly every handshake delay in the model
-//     (60 ps .. ~16 ns) lands within the wheel horizon, so insert and pop
-//     are O(1) amortized — no heap percolation per event. Buckets are
-//     doubly-linked sorted chains: in-order schedules append at the tail,
-//     and the rare out-of-order insert searches backward from the tail,
-//     so the same-timestamp event trains a thousand phase-aligned CBR
-//     sources produce (all firing at k x period) are never traversed;
+//   * a near-horizon wheel of kWheelSize one-picosecond buckets, so a
+//     bucket holds the events of exactly one timestamp, kept in
+//     (birth, seq) order. Nearly every handshake delay in the model
+//     (60 ps .. ~16 ns) lands within the wheel horizon, so insert is an
+//     O(1) tail append and dispatch drains a whole bucket at a time;
 //   * a min-heap overflow for events beyond the horizon (timeouts, traffic
 //     interarrivals, warm-up deadlines). Overflow events migrate into the
-//     wheel as the cursor approaches them.
+//     wheel whenever now() advances far enough to bring them in range.
+//
+// One loop (drain()) serves run(), run_until(), run_window(),
+// run_until_tie() and step(): it finds the next occupied bucket once,
+// checks the bound and migrates due overflow events once per bucket, then
+// pops and dispatches the bucket's events in order until it is empty.
+// A zero-delay schedule made during dispatch carries the largest
+// (birth, seq) key of the bucket being drained, so it appends at the tail
+// and is drained by the same pass.
 //
 // Hot per-flit events travel as TypedEvent records — a one-byte opcode
 // plus packed arguments filling the node's 64-byte capture area —
@@ -94,7 +99,6 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   /// Current simulation time.
   Time now() const { return now_; }
@@ -105,19 +109,16 @@ class Simulator {
   /// Emplace overload: constructs the callback directly inside the event
   /// node — one capture construction instead of the three transfers
   /// (functor -> Callback -> parameter -> node) the type-erased overload
-  /// performs. Every hot-path schedule resolves here.
+  /// performs.
   template <typename F,
             std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, Callback> &&
                     std::is_invocable_r_v<void, std::decay_t<F>&>,
                 int> = 0>
   void at(Time t, F&& f) {
-    MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-    EventNode* n = alloc_node();
-    n->time = t;
-    n->birth = now_;
-    n->seq = next_seq_++;
-    n->body.cb.cb = std::forward<F>(f);
+    check(t >= now_, "cannot schedule an event in the past");
+    EventNode* n = alloc_node(t, now_);
+    ::new (&n->body.cb) CallbackSlot(std::forward<F>(f));
     insert(n);
   }
 
@@ -154,12 +155,9 @@ class Simulator {
   /// store; dispatch order is identical to the callback overloads (the
   /// node draws the same (time, birth, seq) key either way).
   void at_typed(Time t, const TypedEvent& ev) {
-    MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-    MANGO_ASSERT(ev.op != 0, "typed events need a nonzero opcode");
-    EventNode* n = alloc_node();
-    n->time = t;
-    n->birth = now_;
-    n->seq = next_seq_++;
+    check(t >= now_, "cannot schedule an event in the past");
+    check(ev.op != 0, "typed events need a nonzero opcode");
+    EventNode* n = alloc_node(t, now_);
     ::new (&n->body.ev) TypedEvent(ev);
     insert(n);
   }
@@ -171,13 +169,10 @@ class Simulator {
 
   /// Typed twin of admit(): explicit-birth merge of a boundary record.
   void admit_typed(Time t, Time birth, const TypedEvent& ev) {
-    MANGO_ASSERT(t >= now_, "cannot admit an event in the past");
-    MANGO_ASSERT(birth <= t, "admitted birth must not exceed the event time");
-    MANGO_ASSERT(ev.op != 0, "typed events need a nonzero opcode");
-    EventNode* n = alloc_node();
-    n->time = t;
-    n->birth = birth;
-    n->seq = next_seq_++;
+    check(t >= now_, "cannot admit an event in the past");
+    check(birth <= t, "admitted birth must not exceed the event time");
+    check(ev.op != 0, "typed events need a nonzero opcode");
+    EventNode* n = alloc_node(t, birth);
     ::new (&n->body.ev) TypedEvent(ev);
     insert(n);
   }
@@ -187,42 +182,43 @@ class Simulator {
     Time time = kTimeNever;
     Time birth = 0;
   };
-  EventKey next_event_key();
+  EventKey next_event_key() const;
 
   /// Conservative-window run: dispatches every event strictly earlier
   /// than `end`, then parks now() at `end`. Events at exactly `end` stay
   /// pending so that boundary events admitted *at* a window edge can
   /// still be merged ahead of (or between) them by (time, birth, seq).
   /// Returns the number of events dispatched.
-  std::uint64_t run_window(Time end);
+  std::uint64_t run_window(Time end) { return run_to(end, 0); }
 
   /// Dispatches every event with key (time, birth) lexicographically
   /// before (t, birth_bound), then parks now() at `t`. Used by the shard
   /// engine to align every shard on an exact control-event key before
   /// executing a control action. Returns events dispatched.
-  std::uint64_t run_until_tie(Time t, Time birth_bound);
+  std::uint64_t run_until_tie(Time t, Time birth_bound) {
+    return run_to(t, birth_bound);
+  }
 
   /// Dispatches the single next event. Returns false if none is pending.
-  bool step();
+  bool step() { return drain<true>(kTimeNever, kTimeNever) != 0; }
 
   /// Runs until the queue drains or the next event is later than `t_end`
   /// (events exactly at `t_end` are dispatched); leaves now() at `t_end`.
   /// Returns the number of events dispatched.
-  std::uint64_t run_until(Time t_end);
+  std::uint64_t run_until(Time t_end) { return run_to(t_end, kTimeNever); }
 
   /// Runs until the event queue is empty. Returns events dispatched.
-  std::uint64_t run();
+  std::uint64_t run() { return drain<false>(kTimeNever, kTimeNever); }
 
   /// True if no event is pending.
-  bool idle() const { return pending_ == 0; }
+  bool idle() const { return wheel_count_ == 0 && overflow_.empty(); }
 
   /// Number of pending events.
-  std::size_t pending() const { return pending_; }
+  std::size_t pending() const { return wheel_count_ + overflow_.size(); }
 
-  /// Time of the earliest pending event; kTimeNever when idle. Fast-
-  /// forwards the wheel cursor over empty buckets as a side effect, so a
-  /// peek-then-step sequence (run_until's loop) scans each bucket once.
-  Time next_event_time();
+  /// Time of the earliest pending event; kTimeNever when idle. A pure
+  /// read: it never moves the clock or the wheel.
+  Time next_event_time() const;
 
   /// Total events dispatched since construction. Includes handshake
   /// hops folded into coalesced transfer events (note_folded_hop_at)
@@ -256,6 +252,10 @@ class Simulator {
   struct CallbackSlot {
     std::uint8_t op = 0;  ///< always 0 while a callback is live
     Callback cb;
+
+    CallbackSlot() = default;
+    template <typename F>
+    explicit CallbackSlot(F&& f) : cb(std::forward<F>(f)) {}
   };
   static_assert(sizeof(CallbackSlot) <= sizeof(TypedEvent),
                 "the callback fallback must fit the typed capture area");
@@ -265,14 +265,14 @@ class Simulator {
     Time birth = 0;         // now() at scheduling time (tie-break level 2)
     std::uint64_t seq = 0;  // FIFO tie-break for simultaneous events
     EventNode* next = nullptr;
-    EventNode* prev = nullptr;  // bucket chains are doubly linked so the
-                                // out-of-order insert searches backward
-                                // from the tail (see insert_wheel)
-    /// 64-byte capture area. A recycled node always parks with the
-    /// callback slot live and empty (free_node restores that state), so
-    /// scheduling only ever transitions: callback schedules assign into
-    /// the empty cb, typed schedules end the slot's lifetime with a
-    /// trivial placement-new of the record.
+    /// Backward link for the sorted insert (insert_sorted). Valid for
+    /// every bucket member except the head, whose prev is never read.
+    EventNode* prev = nullptr;
+    /// 64-byte capture area. Either member may be live in a recycled
+    /// node: a typed record (trivially destructible, left as it was
+    /// dispatched) or an emptied callback slot. Scheduling constructs
+    /// the new member in place over either — both leave nothing to
+    /// destroy.
     union Body {
       CallbackSlot cb;  ///< live iff ev.op == 0
       TypedEvent ev;
@@ -289,55 +289,90 @@ class Simulator {
   };
   struct Bucket {
     EventNode* head = nullptr;
-    EventNode* tail = nullptr;
+    EventNode* tail = nullptr;  ///< meaningful only while head != nullptr
   };
   /// Min-heap comparator for the overflow: true when `a` dispatches after
   /// `b`.
   struct HeapLater {
     bool operator()(const EventNode* a, const EventNode* b) const {
-      return earlier(b->time, b->birth, b->seq, a->time, a->birth, a->seq);
+      if (a->time != b->time) return a->time > b->time;
+      if (a->birth != b->birth) return a->birth > b->birth;
+      return a->seq > b->seq;
     }
   };
 
-  // Bucket width tuned for thousand-node fabrics: a saturated 32x32 run
-  // keeps several thousand events in flight at >7 events/ps, so 512-ps
-  // buckets develop O(nodes)-long chains and every out-of-order insert
-  // pays a chain walk. One-picosecond buckets make a bucket a single
-  // timestamp: a new event always carries the largest (birth, seq) among
-  // its time-equals, so every wheel insert is the O(1) tail append
-  // (measured: zero out-of-order inserts across the scale-1k presets).
-  // The 16.4-ns horizon still covers every handshake delay; longer
-  // schedules (traffic interarrivals, timeouts) ride the overflow heap
-  // and migrate as the cursor approaches. The sparse-workload flip side
-  // — a lone GS stream dispatches one event every few hundred granules,
-  // and walking empty 1-ps buckets one head==nullptr check at a time
-  // would cost more than the chains did — is paid off by a two-level
-  // occupancy bitmap (occ_/occ_l1_): the cursor jumps straight to the
-  // next non-empty bucket with a handful of word scans.
-  static constexpr unsigned kBucketShift = 0;  // 1 ps per bucket
-  static constexpr unsigned kWheelBits = 14;   // 16384 buckets, ~16.4 ns horizon
+  // One-picosecond buckets, tuned for thousand-node fabrics: a saturated
+  // 32x32 run keeps several thousand events in flight at >7 events/ps,
+  // and a bucket that covers one timestamp never needs a time compare —
+  // a new event always carries the largest (birth, seq) among its
+  // time-equals unless an explicit birth says otherwise. The 16.4-ns
+  // horizon still covers every handshake delay; longer schedules ride
+  // the overflow heap. The sparse-workload flip side — a lone GS stream
+  // dispatches one event every few hundred buckets — is paid off by a
+  // two-level occupancy bitmap (occ_/occ_l1_): finding the next
+  // non-empty bucket is a handful of word scans.
+  static constexpr unsigned kWheelBits = 14;  // 16384 buckets, ~16.4 ns
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;
   static constexpr std::size_t kOccWords = kWheelSize / 64;
   static constexpr std::size_t kOccL1Words = kOccWords / 64;
   static constexpr std::size_t kSlabNodes = 256;
 
-  static constexpr std::uint64_t granule_of(Time t) { return t >> kBucketShift; }
-
-  /// True when (ta, ba, sa) dispatches strictly before (tb, bb, sb).
-  static constexpr bool earlier(Time ta, Time ba, std::uint64_t sa, Time tb,
-                                Time bb, std::uint64_t sb) {
-    if (ta != tb) return ta < tb;
-    if (ba != bb) return ba < bb;
-    return sa < sb;
+  /// Throws ModelError("invariant violated: <what>") unless `ok`. The
+  /// throw sits out of line so the inline schedule paths stay small
+  /// enough to inline and need no stack frame.
+  static void check(bool ok, const char* what) {
+    if (__builtin_expect(!ok, 0)) fail(what);
   }
+  [[noreturn]] static void fail(const char* what);
 
-  EventNode* alloc_node();
-  void free_node(EventNode* n);
-  void insert(EventNode* n);
-  void insert_wheel(EventNode* n);
-  /// Occupancy-bitmap maintenance: exactly insert_wheel() marks and
-  /// pop_earliest() clears, so a bit is set iff its bucket has a head.
+  /// Draws a node off the free list and stamps its dispatch key.
+  EventNode* alloc_node(Time t, Time birth) {
+    EventNode* n = free_list_;
+    if (n == nullptr) n = grow_slab();
+    free_list_ = n->next;
+    n->time = t;
+    n->birth = birth;
+    n->seq = next_seq_++;
+    return n;
+  }
+  /// Carves a new slab onto the free list; returns its first node.
+  EventNode* grow_slab();
+
+  /// Links a keyed node into the wheel (within the horizon) or the
+  /// overflow heap.
+  void insert(EventNode* n) {
+    if (n->time - now_ >= kWheelSize) {
+      push_overflow(n);
+      return;
+    }
+    insert_wheel(n);
+  }
+  void insert_wheel(EventNode* n) {
+    const std::size_t idx = n->time & kWheelMask;
+    Bucket& b = wheel_[idx];
+    ++wheel_count_;
+    n->next = nullptr;
+    if (b.head == nullptr) {
+      b.head = b.tail = n;
+      mark_occupied(idx);
+    } else if (b.tail->birth <= n->birth) {
+      // n has the largest seq, so a birth no earlier than the tail's
+      // puts it last: every organic schedule lands here.
+      n->prev = b.tail;
+      b.tail->next = n;
+      b.tail = n;
+    } else {
+      insert_sorted(b, n);
+    }
+  }
+  /// Mid-bucket insert for an explicit (admitted) birth earlier than the
+  /// bucket tail's.
+  void insert_sorted(Bucket& b, EventNode* n);
+  void push_overflow(EventNode* n);
+
+  /// Occupancy-bitmap maintenance: a bit is set iff its bucket has a
+  /// head whenever control is outside drain().
   void mark_occupied(std::size_t idx) {
     occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     occ_l1_[idx >> 12] |= std::uint64_t{1} << ((idx >> 6) & 63);
@@ -352,38 +387,46 @@ class Simulator {
   /// 63-word linear run to the next level-1 span boundary, then
   /// level-1 jumps.
   std::size_t next_occupied(std::size_t idx) const;
-  /// Advances cur_granule_ to its bucket's next occupied granule using
-  /// the bitmap (no-op when the cursor bucket itself is occupied).
-  void skip_to_occupied() {
-    const std::size_t idx = cur_granule_ & kWheelMask;
-    cur_granule_ += (next_occupied(idx) - idx) & kWheelMask;
+  /// Time of the earliest wheel event (requires wheel_count_ > 0). The
+  /// wheel holds only times in [now, now + kWheelSize), so the first
+  /// occupied bucket circularly from now()'s is the minimum.
+  Time next_wheel_time() const {
+    const std::size_t i = now_ & kWheelMask;
+    return now_ + ((next_occupied(i) - i) & kWheelMask);
   }
-  /// Moves every overflow event now inside the wheel horizon into the wheel.
-  void migrate_overflow();
-  /// Unlinks and returns the earliest pending event (caller checks pending_).
-  EventNode* pop_earliest();
+  /// Moves every overflow event now inside the wheel horizon into the
+  /// wheel. Called whenever now() advances; with now() standing still no
+  /// overflow event can fall due, so between advances the overflow top
+  /// is later than every wheel event.
+  void migrate_overflow() {
+    while (!overflow_.empty() &&
+           overflow_.front()->time - now_ < kWheelSize) {
+      migrate_one();
+    }
+  }
+  void migrate_one();
+
+  /// The dispatch loop. Dispatches, in (time, birth, seq) order, every
+  /// event with time < t or with time == t and birth < birth_bound —
+  /// only the first one when kStep. Returns the number dispatched.
+  template <bool kStep>
+  std::uint64_t drain(Time t, Time birth_bound);
+  /// drain() to the bound (t, birth_bound), then parks now() at t.
+  std::uint64_t run_to(Time t, Time birth_bound);
 
   // Slab storage: nodes are carved in blocks and recycled via free_list_;
   // nothing is returned to the system until destruction.
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   EventNode* free_list_ = nullptr;
 
+  /// Bucket i holds the events at the one time in [now, now + kWheelSize)
+  /// congruent to i — the wheel cursor is now() itself.
   Bucket wheel_[kWheelSize] = {};
   /// Two-level bucket-occupancy bitmap: occ_ has one bit per bucket,
-  /// occ_l1_ one bit per 64-bucket span of occ_. Lets the cursor skip
-  /// runs of empty 1-ps buckets in O(1) word scans instead of O(gap)
-  /// head==nullptr checks (a sparse workload's inter-event gap can be
-  /// hundreds of granules).
+  /// occ_l1_ one bit per 64-bucket span of occ_.
   std::uint64_t occ_[kOccWords] = {};
   std::uint64_t occ_l1_[kOccL1Words] = {};
   std::size_t wheel_count_ = 0;
-  /// Granule of the wheel cursor. Invariants: every wheel event's granule
-  /// lies in [granule(now), granule(now) + kWheelSize) — admission and
-  /// migration are bounded by now(), so each bucket holds events of one
-  /// granule only — and the cursor never passes a non-empty bucket, so
-  /// cur_granule_ <= the minimum wheel granule whenever the wheel is
-  /// non-empty (insert() rewinds it to granule(now) otherwise).
-  std::uint64_t cur_granule_ = 0;
 
   static constexpr std::size_t kFoldCompactLimit = 4096;
 
@@ -411,7 +454,6 @@ class Simulator {
   std::vector<Time> folds_;
   std::size_t fold_compact_at_ = kFoldCompactLimit;
 
-  std::size_t pending_ = 0;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

@@ -6,6 +6,10 @@
 //    quantiles down to the max, event totals (folded hops included) —
 //    with RouterConfig::coalesce_handshakes on and off, and the per-flit
 //    arrival sequences at every destination must match exactly.
+//  * Golden digests: whole-scenario stats and per-flit arrival sequences
+//    on all four fabrics x 3 seeds hash to values recorded before the
+//    bucket-draining event kernel, so kernel or dispatch rewrites are
+//    checked against recorded data rather than a second implementation.
 //  * The pooled packet path performs no heap allocation at steady state:
 //    after warm-up, assembling, injecting, delivering and recycling BE
 //    packets touches only pooled/slab storage.
@@ -14,10 +18,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "exp/scenario.hpp"
-#include "noc/common/events.hpp"
+#include "exp/sweep.hpp"
 #include "noc/network/connection_manager.hpp"
 #include "noc/network/network.hpp"
 #include "noc/traffic/generator.hpp"
@@ -105,19 +110,22 @@ struct Arrival {
   }
 };
 
-/// Runs randomized BE + saturating GS traffic on a 3x3 mesh and records
-/// the per-destination delivery sequences (GS flits and BE packet
-/// headers, with their delivery instants).
-std::vector<std::vector<Arrival>> run_and_record(bool coalesce,
+/// Runs randomized BE + saturating GS traffic on `topo` and records the
+/// per-destination delivery sequences (GS flits and BE packet headers,
+/// with their delivery instants).
+std::vector<std::vector<Arrival>> run_and_record(const TopologySpec& topo,
+                                                 unsigned be_vcs,
+                                                 bool coalesce,
                                                  std::uint64_t seed) {
   sim::SimContext ctx(seed);
   RouterConfig rc;
   rc.coalesce_handshakes = coalesce;
+  rc.be_vcs = be_vcs;
   NetworkConfig cfg;
-  cfg.topology = TopologySpec::mesh(3, 3);
+  cfg.topology = topo;
   cfg.router = rc;
   Network net(ctx, cfg);
-  ConnectionManager mgr(net, {0, 0});
+  ConnectionManager mgr(net, net.node_at(0));
 
   std::vector<std::vector<Arrival>> arrivals(net.node_count());
   for (std::size_t i = 0; i < net.node_count(); ++i) {
@@ -132,10 +140,12 @@ std::vector<std::vector<Arrival>> run_and_record(bool coalesce,
     });
   }
 
-  // Saturating GS stream across the diagonal plus randomized BE traffic
-  // from every node (exponential interarrivals, uniform destinations).
-  const Connection& conn = mgr.open_direct({0, 0}, {2, 2});
-  GsStreamSource gs(net.na({0, 0}), conn.src_iface, /*tag=*/9,
+  // Saturating GS stream from the first to the last node plus randomized
+  // BE traffic from every node (exponential interarrivals, uniform
+  // destinations).
+  const Connection& conn =
+      mgr.open_direct(net.node_at(0), net.node_at(net.node_count() - 1));
+  GsStreamSource gs(net.na(net.node_at(0)), conn.src_iface, /*tag=*/9,
                     GsStreamSource::Options{});
   gs.start();
   std::vector<std::unique_ptr<BeTrafficSource>> be;
@@ -154,8 +164,9 @@ std::vector<std::vector<Arrival>> run_and_record(bool coalesce,
 
 TEST(HotpathDifferential, PerFlitArrivalSequencesMatchLegacy) {
   for (const std::uint64_t seed : {3ull, 11ull}) {
-    const auto coalesced = run_and_record(/*coalesce=*/true, seed);
-    const auto legacy = run_and_record(/*coalesce=*/false, seed);
+    const TopologySpec mesh = TopologySpec::mesh(3, 3);
+    const auto coalesced = run_and_record(mesh, 1, /*coalesce=*/true, seed);
+    const auto legacy = run_and_record(mesh, 1, /*coalesce=*/false, seed);
     ASSERT_EQ(coalesced.size(), legacy.size());
     std::size_t total = 0;
     for (std::size_t n = 0; n < coalesced.size(); ++n) {
@@ -173,19 +184,33 @@ TEST(HotpathDifferential, PerFlitArrivalSequencesMatchLegacy) {
   }
 }
 
-// --- 3. typed dispatch vs InlineFunction fallback ---------------------------
+// --- 3. golden digests -------------------------------------------------------
 
-/// Forces every emit through the InlineFunction fallback for its scope:
-/// the same dispatch_event() switch runs, but reached through a captured
-/// callback instead of the typed fast path. Both paths draw the same
-/// (time, birth, seq) key, so everything must be byte-identical.
-struct TypedDispatchOff {
-  TypedDispatchOff() { events::set_typed_dispatch_enabled(false); }
-  ~TypedDispatchOff() { events::set_typed_dispatch_enabled(true); }
+// The event kernel and the typed dispatch path are certified against
+// recorded data instead of a second implementation: the digests below
+// were taken from the kernel that dispatched one event per pop (before
+// the bucket-draining loop) and must stay byte-for-byte reproducible.
+
+/// FNV-1a over raw bytes; stable across hosts for the integer fields fed
+/// to it here.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void bytes(const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= c[i];
+      h *= 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
 };
 
-exp::ScenarioSpec typed_differential_spec(TopologyKind kind,
-                                          std::uint64_t seed) {
+constexpr TopologyKind kGoldenFabrics[] = {
+    TopologyKind::kMesh, TopologyKind::kTorus, TopologyKind::kRing,
+    TopologyKind::kGraph};
+constexpr std::uint64_t kGoldenSeeds[] = {1, 7, 42};
+
+exp::ScenarioSpec golden_stats_spec(TopologyKind kind, std::uint64_t seed) {
   exp::ScenarioSpec spec;
   spec.topology = kind;
   spec.width = 4;
@@ -200,48 +225,77 @@ exp::ScenarioSpec typed_differential_spec(TopologyKind kind,
   return spec;
 }
 
-TEST(HotpathDifferential, TypedDispatchStatsMatchCallbackFallback) {
-  for (const TopologyKind kind :
-       {TopologyKind::kMesh, TopologyKind::kTorus, TopologyKind::kRing,
-        TopologyKind::kGraph}) {
-    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-      const exp::ScenarioSpec spec = typed_differential_spec(kind, seed);
-      const exp::ScenarioResult typed = exp::run_scenario(spec);
-      const exp::ScenarioResult fallback = [&] {
-        TypedDispatchOff off;
-        return exp::run_scenario(spec);
-      }();
-      ASSERT_TRUE(typed.ok()) << typed.error;
-      ASSERT_TRUE(fallback.ok()) << fallback.error;
-      EXPECT_TRUE(typed.stats == fallback.stats)
-          << "stats diverged on " << spec.topology_spec().label() << " seed "
-          << seed << ": events " << typed.stats.events << " vs "
-          << fallback.stats.events << ", BE delivered "
-          << typed.stats.be_packets_delivered << " vs "
-          << fallback.stats.be_packets_delivered << ", GS p99 "
-          << typed.stats.gs_latency_p99_ns << " vs "
-          << fallback.stats.gs_latency_p99_ns;
+/// Digest of a scenario's deterministic stats JSON (spec + stats).
+std::uint64_t stats_digest(const exp::ScenarioResult& r) {
+  exp::SweepReport rep;
+  rep.results.push_back(r);
+  const std::string json = rep.stats_json();
+  Fnv1a f;
+  f.bytes(json.data(), json.size());
+  return f.h;
+}
+
+/// Digest of the per-destination arrival sequences on one fabric.
+std::uint64_t arrival_digest(const std::vector<std::vector<Arrival>>& a,
+                             std::size_t* total) {
+  Fnv1a f;
+  *total = 0;
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    f.u64(n);
+    f.u64(a[n].size());
+    for (const Arrival& x : a[n]) {
+      f.u64(x.tag);
+      f.u64(x.seq);
+      f.u64(x.at);
+    }
+    *total += a[n].size();
+  }
+  return f.h;
+}
+
+// Indexed [fabric][seed] in kGoldenFabrics x kGoldenSeeds order.
+constexpr std::uint64_t kGoldenStats[4][3] = {
+    {0xf50e264898fbbd3aull, 0x310dfaf972402e23ull, 0x421395bccd63ed07ull},
+    {0x5e14f564a9d38083ull, 0x318b9258538d69a6ull, 0xb105f464408acf3eull},
+    {0xd282c7574ebee7e1ull, 0x03dc6afc7abe5cd7ull, 0xc1ddc8d0862e3e93ull},
+    {0x27c5f4b16b4b02a1ull, 0x9aa55a36c98671d4ull, 0xe723f581db8642dbull},
+};
+constexpr std::uint64_t kGoldenArrivals[4][3] = {
+    {0x21a0db1d3dff04a5ull, 0xa7bb27778c7f7f0dull, 0x77aa762607e1e41bull},
+    {0x16b4df262518bd35ull, 0x338cdb35006b5454ull, 0x9c6dfd8646ba9ba7ull},
+    {0x6fc7a5cbf4ec20e8ull, 0x6d0de4790f42da12ull, 0xee7669b0e9babb81ull},
+    {0xdde39e214bfc52e2ull, 0x2b02f437429a351full, 0x8fb5ed2cf05bb640ull},
+};
+
+TEST(HotpathGolden, ScenarioStatsMatchRecordedDigests) {
+  for (std::size_t f = 0; f < 4; ++f) {
+    for (std::size_t s = 0; s < 3; ++s) {
+      const exp::ScenarioSpec spec =
+          golden_stats_spec(kGoldenFabrics[f], kGoldenSeeds[s]);
+      const exp::ScenarioResult r = exp::run_scenario(spec);
+      ASSERT_TRUE(r.ok()) << r.error;
+      EXPECT_EQ(stats_digest(r), kGoldenStats[f][s])
+          << "stats digest moved on " << spec.topology_spec().label()
+          << " seed " << kGoldenSeeds[s] << " (events " << r.stats.events
+          << "): 0x" << std::hex << stats_digest(r);
     }
   }
 }
 
-TEST(HotpathDifferential, TypedDispatchPerFlitArrivalsMatchFallback) {
-  for (const std::uint64_t seed : {3ull, 11ull}) {
-    const auto typed = run_and_record(/*coalesce=*/true, seed);
-    const auto fallback = [&] {
-      TypedDispatchOff off;
-      return run_and_record(/*coalesce=*/true, seed);
-    }();
-    ASSERT_EQ(typed.size(), fallback.size());
-    for (std::size_t n = 0; n < typed.size(); ++n) {
-      ASSERT_EQ(typed[n].size(), fallback[n].size()) << "node " << n;
-      for (std::size_t k = 0; k < typed[n].size(); ++k) {
-        ASSERT_TRUE(typed[n][k] == fallback[n][k])
-            << "node " << n << " delivery " << k << ": tag "
-            << typed[n][k].tag << "/" << fallback[n][k].tag << " seq "
-            << typed[n][k].seq << "/" << fallback[n][k].seq << " at "
-            << typed[n][k].at << "/" << fallback[n][k].at;
-      }
+TEST(HotpathGolden, PerFlitArrivalSequencesMatchRecordedDigests) {
+  for (std::size_t f = 0; f < 4; ++f) {
+    for (std::size_t s = 0; s < 3; ++s) {
+      exp::ScenarioSpec spec = differential_spec(kGoldenFabrics[f], 0);
+      const auto arrivals =
+          run_and_record(spec.topology_spec(), /*be_vcs=*/2,
+                         /*coalesce=*/true, kGoldenSeeds[s]);
+      std::size_t total = 0;
+      const std::uint64_t d = arrival_digest(arrivals, &total);
+      EXPECT_GT(total, 100u) << "golden traffic too thin to be meaningful";
+      EXPECT_EQ(d, kGoldenArrivals[f][s])
+          << "arrival digest moved on " << spec.topology_spec().label()
+          << " seed " << kGoldenSeeds[s] << " (" << total
+          << " deliveries): 0x" << std::hex << d;
     }
   }
 }

@@ -3,7 +3,11 @@
 // check against the reference priority-queue kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -15,10 +19,10 @@
 namespace mango::sim {
 namespace {
 
-// One wheel bucket is 512 ps and the wheel spans 4096 buckets, so events
-// past ~2.1 us of the cursor take the overflow path. Derived here rather
-// than exported: the values are an implementation detail, the tests only
-// need "definitely beyond the horizon".
+// The wheel spans 16384 one-picosecond buckets, so events past ~16.4 ns
+// of now() take the overflow path. Not exported: the values are an
+// implementation detail, the tests only need "definitely beyond the
+// horizon".
 constexpr Time kBeyondHorizon = 8 * 1000 * 1000;  // 8 us
 
 TEST(Scheduler, SameTimestampDispatchesInInsertionOrderAcrossBuckets) {
@@ -179,9 +183,8 @@ TEST(Scheduler, WheelRolloverManyRotations) {
 }
 
 TEST(Scheduler, InsertBelowFastForwardedCursorStillDispatchesInOrder) {
-  // run_until declines an event after next_event_time() fast-forwarded
-  // the wheel cursor to its bucket; a subsequent insert below the cursor
-  // must rewind it (insert() guard) and dispatch everything in order.
+  // run_until declines an event after peeking at it; a subsequent insert
+  // below the declined event must still dispatch first.
   Simulator sim;
   std::vector<int> order;
   sim.at(100, [&] { order.push_back(1); });
@@ -194,22 +197,17 @@ TEST(Scheduler, InsertBelowFastForwardedCursorStillDispatchesInOrder) {
 }
 
 TEST(Scheduler, FarInsertUnderFastForwardedCursorDoesNotLapEarly) {
-  // Regression: run_until() declines the first event after
-  // next_event_time() fast-forwarded the cursor well past granule(now).
-  // An insert that is beyond now()'s wheel horizon but *within the
-  // cursor's* must not be admitted to the wheel: a subsequent near insert
-  // rewinds the cursor to granule(now), and the far event — aliased into
-  // a bucket between the rewound cursor and the declined event — would
-  // dispatch one full wheel lap early (and drag now() backwards after it).
+  // Regression from the kernel whose peeks moved a wheel cursor ahead of
+  // now(): run_until() declines the first event, then an insert beyond
+  // now()'s wheel horizon (but within the declined event's) and a near
+  // insert follow. The far event must not alias into an earlier bucket
+  // and dispatch a wheel lap early (dragging now() backwards).
   Simulator sim;
   std::vector<int> order;
-  // Granules (512 ps buckets): 51200 -> 100, 2107392 -> 4116, 5120 -> 10.
-  // From now()=10 the horizon ends at granule 4096; from the cursor
-  // (fast-forwarded to 100) it would end at 4196, wrongly admitting 4116.
   sim.at(51200, [&] { order.push_back(2); });
-  EXPECT_EQ(sim.run_until(10), 0u);  // peek fast-forwards cursor to 100
+  EXPECT_EQ(sim.run_until(10), 0u);  // declines the event at 51200
   sim.at(2107392, [&] { order.push_back(3); });  // beyond now()+horizon
-  sim.at(5120, [&] { order.push_back(1); });     // below cursor: rewinds
+  sim.at(5120, [&] { order.push_back(1); });     // below the declined one
   std::vector<Time> times;
   while (sim.step()) times.push_back(sim.now());
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -217,10 +215,8 @@ TEST(Scheduler, FarInsertUnderFastForwardedCursorDoesNotLapEarly) {
 }
 
 TEST(Scheduler, OverflowMigrationAfterCursorFastForward) {
-  // An overflow event older than every wheel event, with a
-  // next_event_time() call interposed so the cursor has fast-forwarded
-  // past the overflow granule before the migration happens (pop_earliest
-  // rewind guard).
+  // An overflow event older than every later wheel insert, with a
+  // next_event_time() peek interposed before every step.
   Simulator sim;
   std::vector<int> order;
   sim.at(10, [&] {
@@ -230,7 +226,7 @@ TEST(Scheduler, OverflowMigrationAfterCursorFastForward) {
       order.push_back(1);
     });
   });
-  // Drain up to just past t=4e6, peeking (and fast-forwarding) each step.
+  // Drain up to just past t=4e6, peeking before each step.
   while (sim.next_event_time() <= 4 * 1000 * 1000) sim.step();
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -336,11 +332,10 @@ std::vector<std::pair<Time, std::uint64_t>> run_storm(std::uint64_t seed) {
     sim.after(rng.next_below(1000), Node{&ctl, next_id++});
   }
   // Drive through randomized run_until() boundaries instead of one run(),
-  // peeking next_event_time() (which fast-forwards the calendar cursor)
-  // and scheduling fresh events from *outside* any callback between
-  // segments — the cursor fast-forward/rewind state space that pure
-  // run()-driven storms never enter. The wheel horizon is ~2.1 us, so the
-  // delay mix below straddles it from both sides.
+  // peeking next_event_time() and scheduling fresh events from *outside*
+  // any callback between segments — states that pure run()-driven storms
+  // never enter. The delay mix lies far beyond the ~16.4-ns wheel
+  // horizon as well as inside it.
   while (!sim.idle()) {
     sim.run_until(sim.now() + 1 + rng.next_below(6 * 1000 * 1000));
     (void)sim.next_event_time();
@@ -350,10 +345,9 @@ std::vector<std::pair<Time, std::uint64_t>> run_storm(std::uint64_t seed) {
       const std::uint64_t kind = rng.next_below(4);
       Time d = 0;
       if (kind == 0) {
-        d = rng.next_below(2500);  // near: below the cursor when rewound
+        d = rng.next_below(2500);  // near
       } else if (kind == 1) {
-        // Horizon edge: beyond now()+horizon yet possibly within the
-        // fast-forwarded cursor's window (the lap-early aliasing shape).
+        // Beyond the wheel horizon, short of the far timeouts.
         d = 2 * 1000 * 1000 + rng.next_below(400 * 1000);
       } else {
         d = 3 * 1000 * 1000 + rng.next_below(20 * 1000 * 1000);  // far
@@ -364,6 +358,244 @@ std::vector<std::pair<Time, std::uint64_t>> run_storm(std::uint64_t seed) {
   return trace;
 }
 
+/// Test-only typed twin of LegacySimulator: the same priority-queue
+/// reference semantics, extended to the kernel surface the NoC model
+/// uses — (time, birth, seq) keys with explicit births, typed records
+/// through a registered dispatcher, half-open windows, tie cuts, peeks
+/// and the folded-hop ledger. Every operation is the obvious one-event-
+/// at-a-time definition.
+class TypedLegacySimulator {
+ public:
+  using Callback = std::function<void()>;
+
+  Time now() const { return now_; }
+  void set_typed_dispatcher(Simulator::TypedDispatcher d) { dispatcher_ = d; }
+
+  void at(Time t, Callback cb) { push(t, now_, std::move(cb), nullptr); }
+  void after(Time d, Callback cb) { at(now_ + d, std::move(cb)); }
+  void at_typed(Time t, const TypedEvent& ev) { push(t, now_, {}, &ev); }
+  void after_typed(Time d, const TypedEvent& ev) { at_typed(now_ + d, ev); }
+  void admit_typed(Time t, Time birth, const TypedEvent& ev) {
+    push(t, birth, {}, &ev);
+  }
+  void note_folded_hop_at(Time t) { folds_.push_back(t); }
+
+  std::uint64_t events_dispatched() const {
+    std::uint64_t n = dispatched_;
+    for (const Time t : folds_) n += t <= now_ ? 1 : 0;
+    return n;
+  }
+  bool idle() const { return queue_.empty(); }
+  std::size_t pending() const { return queue_.size(); }
+  Time next_event_time() const {
+    return queue_.empty() ? kTimeNever : queue_.top().time;
+  }
+  Simulator::EventKey next_event_key() const {
+    if (queue_.empty()) return {};
+    return {queue_.top().time, queue_.top().birth};
+  }
+
+  bool step() {
+    if (queue_.empty()) return false;
+    Event ev = queue_.top();
+    queue_.pop();
+    now_ = ev.time;
+    ++dispatched_;
+    if (ev.typed) {
+      dispatcher_(ev.rec);
+    } else {
+      ev.cb();
+    }
+    return true;
+  }
+  std::uint64_t run_until(Time t) {
+    return run_while(t, [&](const Event& e) { return e.time <= t; });
+  }
+  std::uint64_t run_window(Time end) {
+    return run_while(end, [&](const Event& e) { return e.time < end; });
+  }
+  std::uint64_t run_until_tie(Time t, Time birth) {
+    return run_while(t, [&](const Event& e) {
+      return e.time < t || (e.time == t && e.birth < birth);
+    });
+  }
+  std::uint64_t run() {
+    std::uint64_t n = 0;
+    while (step()) ++n;
+    return n;
+  }
+
+ private:
+  struct Event {
+    Time time;
+    Time birth;
+    std::uint64_t seq;
+    bool typed;
+    Callback cb;
+    TypedEvent rec;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.birth != b.birth) return a.birth > b.birth;
+      return a.seq > b.seq;
+    }
+  };
+
+  void push(Time t, Time birth, Callback cb, const TypedEvent* rec) {
+    Event e{t, birth, next_seq_++, rec != nullptr, std::move(cb), {}};
+    if (rec != nullptr) e.rec = *rec;
+    queue_.push(std::move(e));
+  }
+  template <typename Pred>
+  std::uint64_t run_while(Time park, Pred before) {
+    std::uint64_t n = 0;
+    while (!queue_.empty() && before(queue_.top())) {
+      step();
+      ++n;
+    }
+    if (now_ < park) now_ = park;
+    return n;
+  }
+
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Time> folds_;
+  Simulator::TypedDispatcher dispatcher_ = nullptr;
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatched_ = 0;
+};
+
+/// Randomized storm on the path the model uses: typed records mixed
+/// with callbacks, the model's handshake delay mix plus zero-delay and
+/// horizon-straddling schedules, admitted records with explicit births,
+/// folded hops, and every kind of cut — run_until / run_window /
+/// run_until_tie landing exactly on an occupied bucket's timestamp, and
+/// single steps — with peeks between cuts. The trace holds every
+/// dispatch (time, id) and, at every cut, the clock, pending count,
+/// events_dispatched() and both peeks.
+template <typename Kernel>
+class TypedStorm {
+ public:
+  explicit TypedStorm(std::uint64_t seed) : rng_(seed) {
+    sim_.set_typed_dispatcher(&TypedStorm::on_typed);
+  }
+
+  std::vector<std::uint64_t> run() {
+    for (int i = 0; i < 48; ++i) schedule_from_outside();
+    while (!sim_.idle()) {
+      cut();
+      const Simulator::EventKey k = sim_.next_event_key();
+      for (const std::uint64_t v :
+           {std::uint64_t{0xC07}, sim_.now(),
+            static_cast<std::uint64_t>(sim_.pending()),
+            sim_.events_dispatched(), sim_.next_event_time(), k.time,
+            k.birth}) {
+        trace_.push_back(v);
+      }
+      const std::uint64_t extra = rng_.next_below(3);
+      for (std::uint64_t i = 0; i < extra && budget_ > 0; ++i) {
+        --budget_;
+        schedule_from_outside();
+      }
+    }
+    trace_.push_back(sim_.events_dispatched());
+    return trace_;
+  }
+
+ private:
+  static void on_typed(TypedEvent& ev) {
+    std::uint64_t id = 0;
+    std::memcpy(&id, ev.payload, sizeof id);
+    static_cast<TypedStorm*>(ev.p0)->fire(id);
+  }
+
+  void fire(std::uint64_t id) {
+    trace_.push_back(sim_.now());
+    trace_.push_back(id);
+    const std::uint64_t kids = rng_.next_below(3);
+    for (std::uint64_t k = 0; k < kids && budget_ > 0; ++k) {
+      --budget_;
+      schedule(sim_.now() + delay(), sim_.now(), false);
+    }
+    if (rng_.next_below(4) == 0) {
+      sim_.note_folded_hop_at(sim_.now() + delay());
+    }
+  }
+
+  /// The model's handshake delays (60..1942 ps) with zero-delay
+  /// schedules, the ~16.4-ns wheel horizon edge and far timeouts mixed in.
+  Time delay() {
+    switch (rng_.next_below(10)) {
+      case 0: return 0;
+      case 1: return 15000 + rng_.next_below(3000);
+      case 2: return 20000 + rng_.next_below(400000);
+      default: return 60 + rng_.next_below(1883);
+    }
+  }
+
+  /// One event: typed (at_typed, or admit_typed with an explicit birth
+  /// when `admitted`) or a callback; ids keep the dispatch trace readable.
+  void schedule(Time t, Time birth, bool admitted) {
+    const std::uint64_t id = next_id_++;
+    if (rng_.next_below(5) == 0) {
+      sim_.at(t, [this, id] { fire(id); });
+      return;
+    }
+    TypedEvent ev{};
+    ev.op = 1;
+    ev.p0 = this;
+    std::memcpy(ev.payload, &id, sizeof id);
+    if (admitted) {
+      sim_.admit_typed(t, birth, ev);
+    } else {
+      sim_.at_typed(t, ev);
+    }
+  }
+
+  void schedule_from_outside() {
+    const Time now = sim_.now();
+    const Time t = now + delay();
+    if (rng_.next_below(3) == 0) {
+      // A boundary record: born before now() on the sender, or (as the
+      // unit tests allow) anywhere up to its own time.
+      const Time birth = rng_.next_below(2) == 0
+                             ? now - std::min<Time>(now, rng_.next_below(3000))
+                             : now + rng_.next_below(t - now + 1);
+      schedule(t, birth, true);
+    } else {
+      schedule(t, now, false);
+    }
+    if (rng_.next_below(4) == 0) sim_.note_folded_hop_at(now + delay());
+  }
+
+  void cut() {
+    const Simulator::EventKey k = sim_.next_event_key();
+    switch (rng_.next_below(7)) {
+      case 0: sim_.run_until(sim_.now() + 1 + rng_.next_below(40000)); break;
+      case 1: sim_.run_window(sim_.now() + 1 + rng_.next_below(40000)); break;
+      case 2: sim_.run_until(k.time); break;   // lands on an occupied bucket
+      case 3: sim_.run_window(k.time); break;  // stops short of it
+      case 4:  // stops at the exact key, or just past its birth
+        sim_.run_until_tie(k.time, k.birth + rng_.next_below(2));
+        break;
+      case 5:
+        sim_.run_until_tie(sim_.now() + rng_.next_below(3000),
+                           rng_.next_below(sim_.now() + 3000));
+        break;
+      default:
+        for (std::uint64_t i = rng_.next_below(4); i > 0; --i) sim_.step();
+        break;
+    }
+  }
+
+  Kernel sim_;
+  Rng rng_;
+  std::vector<std::uint64_t> trace_;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t budget_ = 30000;
+};
+
 TEST(SchedulerDifferential, BitIdenticalDispatchVsLegacyKernel) {
   for (std::uint64_t seed : {1ull, 42ull, 0xDEADBEEFull}) {
     const auto a = run_storm<Simulator>(seed);
@@ -373,6 +605,16 @@ TEST(SchedulerDifferential, BitIdenticalDispatchVsLegacyKernel) {
       ASSERT_EQ(a[i], b[i]) << "divergence at event " << i << ", seed "
                             << seed;
     }
+  }
+  // The typed path with explicit births, folds and exact cuts.
+  for (std::uint64_t seed : {1ull, 42ull, 0xDEADBEEFull, 7ull, 99ull}) {
+    const auto a = TypedStorm<Simulator>(seed).run();
+    const auto b = TypedStorm<TypedLegacySimulator>(seed).run();
+    EXPECT_GT(a.size(), 50000u) << "storm too thin, seed " << seed;
+    const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+    ASSERT_TRUE(ia == a.end() && ib == b.end())
+        << "typed storm diverged at trace word " << (ia - a.begin()) << " of "
+        << a.size() << "/" << b.size() << ", seed " << seed;
   }
 }
 
